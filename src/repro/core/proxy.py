@@ -140,7 +140,7 @@ class WaffleProxy:
     # initialization (§6.1)
     # ------------------------------------------------------------------
     def initialize(self, items: dict[str, bytes]) -> None:
-        """Load the initial dataset: seed the cache, BSTs and the server."""
+        """Load the initial dataset: seed the cache, indexes and the server."""
         if self._initialized:
             raise ProtocolError("proxy already initialized")
         if len(items) != self.config.n:
@@ -152,7 +152,7 @@ class WaffleProxy:
 
         cfg = self.config
         seed_base = self._rng.randrange(2**63)
-        self._real_index = RealObjectIndex(items.keys(), seed=seed_base)
+        self._real_index = RealObjectIndex(items.keys())
         dummy_keys = [f"{_DUMMY_PREFIX}{i:012d}" for i in range(cfg.d)]
         self._dummy_index = DummyObjectIndex(
             dummy_keys, seed=seed_base + 17,
@@ -170,8 +170,7 @@ class WaffleProxy:
         # Remaining reals and all dummies, shuffled, encoded, loaded.  Ids
         # and ciphertexts are produced by the batched crypto kernels in one
         # pass each over the N - C + D outsourced objects.
-        for key in server_keys:
-            self._real_index.mark_server_resident(key)
+        self._real_index.mark_server_resident_many(server_keys)
         load_keys = server_keys + dummy_keys
         values = [items[key] for key in server_keys]
         values.extend(self._dummy_payload() for _ in dummy_keys)
@@ -206,12 +205,6 @@ class WaffleProxy:
 
     def _dummy_payload(self) -> bytes:
         return self._rng.randbytes(self.config.value_size)
-
-    def _get_index(self, key: str) -> str:
-        """GetIndex(k): prf(k, BST.getTimestamp(k))."""
-        if key.startswith(_DUMMY_PREFIX):
-            return self._encode_id(key, self._dummy_index.stored_timestamp(key))
-        return self._encode_id(key, self._real_index.timestamp(key))
 
     def _is_dummy(self, key: str) -> bool:
         return key.startswith(_DUMMY_PREFIX)
@@ -306,10 +299,8 @@ class WaffleProxy:
                 index += 1
 
         read_batch: dict[str, str] = {}  # storage id -> plaintext key
-        dedup_pairs = [(key, real_index.timestamp(key)) for key in dedup]
-        for key in dedup:
-            real_index.set_timestamp(key, self.ts)
-            real_index.mark_cached(key)
+        dedup_pairs = [(key, real_index.stamp_cached(key, self.ts))
+                       for key in dedup]
         for sid, key in zip(self._encode_ids(dedup_pairs), dedup):
             read_batch[sid] = key
         stats.prf_evals += len(dedup)
@@ -335,7 +326,7 @@ class WaffleProxy:
         # Fake queries on dummy objects (lines 20-23).  Retiring dummies
         # (freeing slots for inserts) are read but will not be rewritten.
         # The f_D least-recently-read dummies are detached from the
-        # selection tree in one batched descent; ids derive from their
+        # selection index in one batched pop; ids derive from their
         # still-stored timestamps in one PRF pass.
         dummy_budget = min(cfg.f_d, len(dummy_index))
         dummy_sel = dummy_index.take_min_keys(dummy_budget)
@@ -377,30 +368,21 @@ class WaffleProxy:
         stats.index_ops += len(forced_sel)
 
         remaining = f_r - len(forced_sel)
-        if remaining and cfg.fake_real_policy == "least_recent":
+        if remaining:
             if remaining > real_index.server_resident_count:
                 raise ProtocolError(
                     "no server-resident real objects left for fake queries; "
                     "N - C is too small for this configuration"
                 )
-            fake_pairs = real_index.pop_min_keys(remaining, self.ts)
+            if cfg.fake_real_policy == "least_recent":
+                fake_pairs = real_index.pop_min_keys(remaining, self.ts)
+            else:  # "uniform": the Challenge-2 ablation
+                fake_pairs = real_index.pop_random_keys(
+                    remaining, self._rng, self.ts)
             for sid, (key, _) in zip(self._encode_ids(fake_pairs), fake_pairs):
                 read_batch[sid] = key
             stats.prf_evals += remaining
             stats.index_ops += 2 * remaining
-        elif remaining:  # "uniform": the Challenge-2 ablation draws one
-            for _ in range(remaining):  # rng value per pick, so stays scalar
-                if real_index.server_resident_count == 0:
-                    raise ProtocolError(
-                        "no server-resident real objects left for fake queries; "
-                        "N - C is too small for this configuration"
-                    )
-                key = real_index.random_resident_key(self._rng)
-                read_batch[self._get_index(key)] = key
-                real_index.set_timestamp(key, self.ts)
-                real_index.mark_cached(key)
-                stats.prf_evals += 1
-                stats.index_ops += 2
         if forced_reads:
             raise ProtocolError("delete queue exceeded fake-real budget")
         stats.unique_real_reads = r
@@ -522,7 +504,7 @@ class WaffleProxy:
             _t5 = _pc()
             obs.close_span(_tok, _t5 - _t4,
                            labels={"system": "waffle"}, round=self.ts)
-            _tok = obs.open_span("phase.derive")
+            _tok = obs.open_span("phase.seal")
 
         write_ids, ciphertexts = self.keychain.seal_many(
             [(key, ts) for key, ts, _ in write_plan],

@@ -1,13 +1,17 @@
-"""Access-timestamp index: the proxy's two balanced BSTs (§6.1).
+"""Access-timestamp index: the proxy's two ordered indexes (§6.1).
 
 Waffle maintains one balanced BST for real objects and one for dummy
 objects, ordered on ``<ts : plaintext_key>``, to find least-recently-
-accessed objects for fake queries (Challenge 2).  This module wraps the
-treap substrate with Waffle's specific semantics:
+accessed objects for fake queries (Challenge 2).  The protocol never
+walks that order, though: it pops the ``k`` least keys each round and
+re-stamps single keys.  A min-heap with lazy invalidation
+(:class:`~repro.ds.heap_index.HeapIndex`) answers exactly those two
+questions, and because every sort key ends with the key itself, it pops
+in the same order the BST would.  This module adds Waffle's semantics:
 
 * **Real index** (:class:`RealObjectIndex`): tracks *server-resident* real
   keys only — Algorithm 1 line 26 requires fake-query candidates to not be
-  in the cache, so cached keys are removed from the tree and re-inserted
+  in the cache, so cached keys are removed from the index and re-inserted
   on eviction.  The authoritative ``timestamp`` of *every* real key (cached
   or not) is kept alongside, because ``GetIndex`` needs it when evicted
   objects are written back.
@@ -17,7 +21,7 @@ treap substrate with Waffle's specific semantics:
   picked".  A naive reset would desynchronize the selection order from the
   storage ids (which embed the timestamp of the *last write*), so the
   index keeps two notions per dummy: ``stored_ts`` — the timestamp baked
-  into its current storage id — and the tree position used for selection,
+  into its current storage id — and the index position used for selection,
   whose tiebreak is reshuffled on every epoch reset.
 """
 
@@ -26,8 +30,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from repro.ds.treap import Treap
-from repro.seeding import derive_seed, seeded_rng
+from repro.ds.heap_index import HeapIndex
+from repro.seeding import seeded_rng
 
 __all__ = ["DummyObjectIndex", "RealObjectIndex"]
 
@@ -35,21 +39,18 @@ __all__ = ["DummyObjectIndex", "RealObjectIndex"]
 class RealObjectIndex:
     """Timestamps for real objects + ordered index of server-resident ones.
 
-    Tree order is ``(timestamp, arrival, key)``: the arrival counter makes
+    Index order is ``(timestamp, arrival, key)``: the arrival counter makes
     equal-timestamp keys FIFO, so a freshly evicted key cannot be
     indefinitely preempted by later evictions that happen to sort before
     it lexicographically (observable as an α tail otherwise).
     """
 
-    __slots__ = ("_timestamps", "_tree", "_arrivals")
+    __slots__ = ("_timestamps", "_index", "_arrivals")
 
-    def __init__(self, keys: Iterable[str],
-                 seed: int | None = None) -> None:
-        self._timestamps: dict[str, int] = {}
-        self._tree = Treap(seed=seed)
+    def __init__(self, keys: Iterable[str]) -> None:
+        self._timestamps: dict[str, int] = dict.fromkeys(keys, 0)
+        self._index = HeapIndex()
         self._arrivals = 0
-        for key in keys:
-            self._timestamps[key] = 0
 
     def __len__(self) -> int:
         return len(self._timestamps)
@@ -59,7 +60,7 @@ class RealObjectIndex:
 
     @property
     def server_resident_count(self) -> int:
-        return len(self._tree)
+        return len(self._index)
 
     def timestamp(self, key: str) -> int:
         """Current access timestamp of ``key`` (BST.getTimestamp)."""
@@ -71,26 +72,48 @@ class RealObjectIndex:
 
     def set_timestamp(self, key: str, ts: int) -> None:
         """BST.setTimestamp: update ``key``'s timestamp; if the key is
-        tracked as server-resident its tree position moves accordingly."""
+        tracked as server-resident its index position moves accordingly."""
         if key not in self._timestamps:
             raise KeyError(key)
         self._timestamps[key] = ts
-        if key in self._tree:
-            self._tree.insert(key, (ts, self._next_arrival(), key))
+        if key in self._index:
+            self._index.push((ts, self._next_arrival(), key))
 
     def mark_server_resident(self, key: str) -> None:
         """Key now lives on the server: make it a fake-query candidate."""
-        self._tree.insert(
-            key, (self._timestamps[key], self._next_arrival(), key))
+        self._index.push((self._timestamps[key], self._next_arrival(), key))
+
+    def mark_server_resident_many(self, keys: Iterable[str]) -> None:
+        """:meth:`mark_server_resident` over ``keys`` in order, built in
+        one O(n) heapify; the index must hold no resident key yet."""
+        if len(self._index):
+            raise ValueError("bulk build needs an empty index")
+        timestamps = self._timestamps
+        self._index.reset(
+            (timestamps[key], self._next_arrival(), key) for key in keys)
 
     def mark_cached(self, key: str) -> None:
         """Key now lives in the cache: exclude it from fake-query selection."""
-        if key in self._tree:
-            self._tree.remove(key)
+        if key in self._index:
+            self._index.remove(key)
+
+    def stamp_cached(self, key: str, ts: int) -> int:
+        """:meth:`set_timestamp` + :meth:`mark_cached` for a key fetched
+        into the cache; returns its previous timestamp.
+
+        The arrival counter advances exactly as the pair would, but no
+        index tuple is pushed only to be invalidated again.
+        """
+        previous = self._timestamps[key]
+        self._timestamps[key] = ts
+        if key in self._index:
+            self._arrivals += 1
+            self._index.remove(key)
+        return previous
 
     def min_timestamp_key(self) -> str:
         """BST.getMinTimestampObj(real): least-recently-accessed resident key."""
-        _, key = self._tree.min()
+        key: str = self._index.min()[-1]
         return key
 
     def pop_min_keys(self, count: int, ts: int) -> list[tuple[str, int]]:
@@ -100,22 +123,33 @@ class RealObjectIndex:
         Returns ``(key, previous_timestamp)`` pairs in selection order —
         the previous timestamp is what ``GetIndex`` must feed the PRF.
         Equivalent to ``count`` rounds of :meth:`min_timestamp_key` +
-        :meth:`set_timestamp` + :meth:`mark_cached` (including the arrival
-        counter, so eviction FIFO tiebreaks are unchanged), but the tree
-        is descended once instead of ``3·count`` times.
+        :meth:`stamp_cached` (including the arrival counter, so eviction
+        FIFO tiebreaks are unchanged).
         """
+        timestamps = self._timestamps
         selected: list[tuple[str, int]] = []
-        for _, key in self._tree.pop_min_many(count):
-            selected.append((key, self._timestamps[key]))
-            self._timestamps[key] = ts
-            self._arrivals += 1
+        for _, _, key in self._index.pop_min_many(count):
+            selected.append((key, timestamps[key]))
+            timestamps[key] = ts
+        self._arrivals += len(selected)
         return selected
 
-    def random_resident_key(self, rng: random.Random) -> str:
-        """Uniformly random server-resident key (the Challenge-2 ablation:
-        what happens when fake queries ignore recency)."""
-        _, key = self._tree.select(rng.randrange(len(self._tree)))
-        return key
+    def pop_random_keys(self, count: int, rng: random.Random,
+                        ts: int) -> list[tuple[str, int]]:
+        """The Challenge-2 ablation: like :meth:`pop_min_keys`, but each
+        pick is a uniformly random resident key (recency is ignored).
+
+        One sorted snapshot serves the whole round: removing a pick does
+        not reorder the rest, so ``rng.randrange`` over the shrinking
+        snapshot draws the same ranks, in the same order, as a rank
+        ``select`` on the live index would.
+        """
+        snapshot = self._index.sorted_entries()
+        selected: list[tuple[str, int]] = []
+        for _ in range(count):
+            _, _, key = snapshot.pop(rng.randrange(len(snapshot)))
+            selected.append((key, self.stamp_cached(key, ts)))
+        return selected
 
     def add_key(self, key: str, ts: int, server_resident: bool) -> None:
         """Register a brand-new real key (insert support, §6.2)."""
@@ -123,19 +157,23 @@ class RealObjectIndex:
             raise KeyError(f"key already tracked: {key}")
         self._timestamps[key] = ts
         if server_resident:
-            self._tree.insert(key, (ts, self._next_arrival(), key))
+            self._index.push((ts, self._next_arrival(), key))
 
     def drop_key(self, key: str) -> None:
         """Forget a real key entirely (delete support, §6.2)."""
         del self._timestamps[key]
-        if key in self._tree:
-            self._tree.remove(key)
+        if key in self._index:
+            self._index.remove(key)
 
 
 class DummyObjectIndex:
-    """Selection order and stored timestamps for the ``D`` dummy objects."""
+    """Selection order and stored timestamps for the ``D`` dummy objects.
 
-    __slots__ = ("_stored_ts", "_tree", "_rng", "_accessed_since_reset",
+    Index order is ``(timestamp, tiebreak, key)`` with the tiebreak drawn
+    from the index's own rng on every re-stamp.
+    """
+
+    __slots__ = ("_stored_ts", "_index", "_rng", "_accessed_since_reset",
                  "reshuffle")
 
     def __init__(self, keys: Iterable[str], seed: int | None = None,
@@ -143,11 +181,9 @@ class DummyObjectIndex:
         self._rng = seeded_rng(seed)
         #: Apply the paper's epoch reset (see WaffleConfig.dummy_policy).
         self.reshuffle = reshuffle
-        self._stored_ts: dict[str, int] = {}
-        self._tree = Treap(seed=derive_seed(seed, stream=1))
-        for key in keys:
-            self._stored_ts[key] = 0
-            self._tree.insert(key, (0, self._rng.random(), key))
+        self._stored_ts: dict[str, int] = dict.fromkeys(keys, 0)
+        self._index = HeapIndex(
+            (0, self._rng.random(), key) for key in self._stored_ts)
         self._accessed_since_reset = 0
 
     def __len__(self) -> int:
@@ -162,28 +198,26 @@ class DummyObjectIndex:
 
     def min_timestamp_key(self) -> str:
         """BST.getMinTimestampObj(dummy)."""
-        _, key = self._tree.min()
+        key: str = self._index.min()[-1]
         return key
 
     def take_min_keys(self, count: int) -> list[str]:
         """Batched BST.getMinTimestampObj: detach the ``count`` least keys.
 
         Stored timestamps are untouched (``GetIndex`` still needs them for
-        the ids being read), and the keys leave the selection tree, so a
+        the ids being read), and the keys leave the selection index, so a
         dummy cannot be selected twice in one batch.  Callers must follow
         up with :meth:`record_access_many` (rewritten dummies) and/or
         :meth:`retire` (dummies swapped out for inserted real objects).
         """
-        return [key for _, key in self._tree.pop_min_many(count)]
+        return [entry[-1] for entry in self._index.pop_min_many(count)]
 
     def record_access_many(self, keys: Iterable[str], ts: int) -> None:
         """Batched :meth:`record_access` over keys already detached by
         :meth:`take_min_keys`; tiebreak draws happen in ``keys`` order, so
         the selection sequence matches the one-at-a-time path exactly."""
         for key in keys:
-            self._stored_ts[key] = ts
-            self._tree.insert(key, (ts, self._rng.random(), key))
-        self._accessed_since_reset += len(keys)
+            self.record_access(key, ts)
 
     def retire(self, key: str) -> int:
         """Forget a dummy already detached by :meth:`take_min_keys` (insert
@@ -201,7 +235,7 @@ class DummyObjectIndex:
         the round's write phase).
         """
         self._stored_ts[key] = ts
-        self._tree.insert(key, (ts, self._rng.random(), key))
+        self._index.push((ts, self._rng.random(), key))
         self._accessed_since_reset += 1
 
     def end_round(self, ts: int) -> None:
@@ -215,19 +249,14 @@ class DummyObjectIndex:
     def _reshuffle(self, ts: int) -> None:
         entries = list(self._stored_ts)
         self._rng.shuffle(entries)
-        # Seed the rebuilt tree from the epoch timestamp: deterministic
-        # under replay, varies per epoch, and consumes no draws from
-        # self._rng (whose stream pinned traces depend on).
-        fresh = Treap(seed=derive_seed(ts, stream=1))
-        for key in entries:
-            fresh.insert(key, (ts, self._rng.random(), key))
-        self._tree = fresh
+        rand = self._rng.random
+        self._index.reset([(ts, rand(), key) for key in entries])
 
     def swap_out(self, key: str) -> int:
         """Remove a dummy (insert support swaps it for a real key); returns
         the timestamp baked into its current storage id."""
         ts = self._stored_ts.pop(key)
-        self._tree.remove(key)
+        self._index.remove(key)
         return ts
 
     def swap_in(self, key: str, ts: int) -> None:
@@ -235,9 +264,8 @@ class DummyObjectIndex:
         if key in self._stored_ts:
             raise KeyError(f"dummy already tracked: {key}")
         self._stored_ts[key] = ts
-        self._tree.insert(key, (ts, self._rng.random(), key))
+        self._index.push((ts, self._rng.random(), key))
 
     def any_key(self) -> str:
         """An arbitrary dummy key (used by insert's swap)."""
-        _, key = self._tree.min()
-        return key
+        return self.min_timestamp_key()

@@ -1,12 +1,12 @@
-"""Data-structure substrate: the balanced BST and LRU cache Waffle relies on.
+"""Data-structure substrate: the ordered index and LRU cache Waffle relies on.
 
-§4 (Challenge 2) requires a balanced binary search tree ordered on
-``(timestamp, key)`` supporting minimum lookup and timestamp updates in
-``O(log n)``; §4 (Challenge 3) requires a bounded least-recently-used
-cache.  Both are implemented from scratch here.
+§4 (Challenge 2) requires an index ordered on ``(timestamp, key)`` that
+yields the least-recently-accessed objects and absorbs timestamp updates
+in ``O(log n)``; §4 (Challenge 3) requires a bounded least-recently-used
+cache.  Both are implemented here on the standard library.
 """
 
+from repro.ds.heap_index import HeapIndex
 from repro.ds.lru import LruCache
-from repro.ds.treap import Treap
 
-__all__ = ["LruCache", "Treap"]
+__all__ = ["HeapIndex", "LruCache"]

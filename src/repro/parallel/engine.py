@@ -2,7 +2,7 @@
 
 A Waffle round has two kinds of work (DESIGN.md §10, and the mechanism
 :mod:`repro.sim.pipeline` models): *assembly* — dedup, fake-query
-sampling, treap/LRU updates — which mutates shared proxy state and must
+sampling, index/LRU updates — which mutates shared proxy state and must
 stay on the coordinating thread, and the *embarrassingly parallel* kernel
 work — PRF id derivation and AEAD encrypt/decrypt over the B+D batch —
 which is a pure function of its inputs.  :class:`WorkerPool` spreads the

@@ -67,7 +67,7 @@ class CostModel:
     #: LRU bookkeeping: base + log-factor (see module docstring).
     lru_base_s: float = 0.5e-6
     lru_log_s: float = 0.3e-6
-    #: Ordered-index (treap) operation: charged per log2(n) factor.
+    #: Timestamp-index (binary heap) operation: charged per log2(n) factor.
     index_log_s: float = 0.1e-6
     #: Client-side per-request overhead for unproxied (insecure) access.
     client_overhead_s: float = 295e-6

@@ -17,9 +17,8 @@ Three layers:
   an unmodified :class:`~repro.core.proxy.WaffleProxy` runs on either —
   which is both the equivalence oracle and the benchmark baseline.
 * **Kernel microbenchmarks** — :func:`bench_prf_kernel`,
-  :func:`bench_aead_kernel`, :func:`bench_index_kernel`,
-  :func:`bench_cache_kernel` time one kernel in isolation at a
-  representative round shape.
+  :func:`bench_aead_kernel` and :func:`bench_cache_kernel` time one
+  kernel in isolation at a representative round shape.
 * **End-to-end rounds** — :func:`bench_rounds` drives a real proxy
   against an in-memory store and reports rounds/sec and µs/request, with
   a PRF/AEAD/other breakdown captured by timing wrappers, and
@@ -45,7 +44,6 @@ from repro.core.config import WaffleConfig
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.ds.lru import LruCache
-from repro.ds.treap import Treap
 from repro.errors import IntegrityError
 from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
@@ -56,7 +54,6 @@ __all__ = [
     "ScalarPrf",
     "bench_aead_kernel",
     "bench_cache_kernel",
-    "bench_index_kernel",
     "bench_prf_kernel",
     "bench_rounds",
     "bench_rounds_parallel",
@@ -289,46 +286,6 @@ def bench_aead_kernel(batch: int = 64, value_size: int = 1024,
         "scalar_decrypt_ops_per_sec": batch / scalar_dec,
         "batched_decrypt_ops_per_sec": batch / batched_dec,
         "decrypt_speedup": scalar_dec / batched_dec,
-    }
-
-
-def bench_index_kernel(population: int = 4096, take: int = 256,
-                       repeats: int = 3) -> dict:
-    """Repeated ``pop_min`` vs one ``pop_min_many`` on a treap."""
-
-    def build() -> Treap:
-        tree = Treap(seed=11)
-        for i in range(population):
-            tree.insert(f"k{i:06d}", (i % 131, i, f"k{i:06d}"))
-        return tree
-
-    def scalar(tree: Treap) -> list:
-        return [tree.pop_min() for _ in range(take)]
-
-    def batched(tree: Treap) -> list:
-        return tree.pop_min_many(take)
-
-    assert scalar(build()) == batched(build())
-
-    def timed(pop) -> float:
-        # Trees are rebuilt outside the timed window: only the pops count.
-        best = float("inf")
-        for _ in range(repeats):
-            tree = build()
-            start = time.perf_counter()
-            pop(tree)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    scalar_s = timed(scalar)
-    batched_s = timed(batched)
-    return {
-        "kernel": "index",
-        "population": population,
-        "take": take,
-        "scalar_ops_per_sec": take / scalar_s,
-        "batched_ops_per_sec": take / batched_s,
-        "speedup": scalar_s / batched_s,
     }
 
 
@@ -909,7 +866,6 @@ def run_wallclock_benchmark(n: int = 2048, rounds: int = 30,
         "kernels": {
             "prf": bench_prf_kernel(repeats=repeats),
             "aead": bench_aead_kernel(repeats=repeats),
-            "index": bench_index_kernel(repeats=repeats),
             "cache": bench_cache_kernel(repeats=repeats),
         },
         "end_to_end": {

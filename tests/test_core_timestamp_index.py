@@ -7,7 +7,7 @@ from repro.core.timestamp_index import DummyObjectIndex, RealObjectIndex
 
 class TestRealObjectIndex:
     def make(self, n=10):
-        return RealObjectIndex([f"k{i}" for i in range(n)], seed=1)
+        return RealObjectIndex([f"k{i}" for i in range(n)])
 
     def test_all_keys_start_at_zero(self):
         index = self.make()
@@ -62,12 +62,57 @@ class TestRealObjectIndex:
     def test_random_resident_key(self):
         import random
         index = self.make(20)
-        for i in range(20):
-            index.mark_server_resident(f"k{i}")
+        index.mark_server_resident_many(f"k{i}" for i in range(20))
         rng = random.Random(3)
-        picks = {index.random_resident_key(rng) for _ in range(100)}
-        assert len(picks) > 5  # genuinely spread
-        assert all(pick in index for pick in picks)
+        picks = index.pop_random_keys(8, rng, ts=5)
+        assert len({key for key, _ in picks}) == 8
+        assert all(prev == 0 for _, prev in picks)
+        assert all(index.timestamp(key) == 5 for key, _ in picks)
+        assert index.server_resident_count == 12
+        # Fresh draws keep spreading over what is still resident.
+        more = {key for _ in range(6)
+                for key, _ in index.pop_random_keys(2, rng, ts=6)}
+        assert more.isdisjoint(key for key, _ in picks)
+        assert index.server_resident_count == 0
+
+    def test_pop_random_keys_matches_rank_select(self):
+        """Each pick is the draw's rank in the live order, as a rank
+        ``select`` on an order-statistics tree would return."""
+        import random
+        index = self.make(50)
+        index.mark_server_resident_many(f"k{i}" for i in range(50))
+        for i in range(0, 50, 3):
+            index.set_timestamp(f"k{i}", 100 - i)
+        # Timestamp 0 in arrival order, then timestamps 52..100 ascending.
+        live = ([f"k{i}" for i in range(50) if i % 3]
+                + [f"k{i}" for i in reversed(range(0, 50, 3))])
+        draws = random.Random(9)
+        expected = [live.pop(draws.randrange(len(live))) for _ in range(20)]
+        picks = index.pop_random_keys(20, random.Random(9), ts=200)
+        assert [key for key, _ in picks] == expected
+
+    def test_stamp_cached_matches_set_timestamp_then_mark_cached(self):
+        folded, paired = self.make(4), self.make(4)
+        for index in (folded, paired):
+            index.mark_server_resident_many(["k0", "k1", "k2", "k3"])
+        assert folded.stamp_cached("k1", 7) == 0
+        paired.set_timestamp("k1", 7)
+        paired.mark_cached("k1")
+        for index in (folded, paired):
+            index.mark_server_resident("k1")
+            index.set_timestamp("k2", 7)
+        assert folded.pop_min_keys(4, 9) == paired.pop_min_keys(4, 9)
+
+    def test_bulk_build_matches_one_at_a_time(self):
+        bulk, single = self.make(10), self.make(10)
+        keys = [f"k{i}" for i in (3, 1, 4, 0, 5, 9, 2, 6)]
+        bulk.mark_server_resident_many(keys)
+        for key in keys:
+            single.mark_server_resident(key)
+        assert bulk.pop_min_keys(8, 1) == single.pop_min_keys(8, 1)
+        bulk.mark_server_resident("k7")
+        with pytest.raises(ValueError):
+            bulk.mark_server_resident_many(["k8"])
 
 
 class TestDummyObjectIndex:

@@ -47,7 +47,7 @@ class TestProxyInstrumentation:
         hists = handle.registry.snapshot()["histograms"]
         w = "{system=waffle}"
         assert hists["round.seconds" + w]["count"] == rounds
-        for phase in ("plan", "decrypt", "cache", "evict", "derive"):
+        for phase in ("plan", "decrypt", "cache", "evict", "seal"):
             assert hists[f"phase.{phase}.seconds" + w]["count"] == rounds
         for direction in ("read", "write"):
             key = "phase.server_io.seconds{dir=%s,system=waffle}" % direction
@@ -61,7 +61,7 @@ class TestProxyInstrumentation:
     def test_kernel_profiling_hooks(self):
         from repro.crypto.aead import AuthenticatedCipher
         from repro.crypto.prf import Prf
-        from repro.ds.treap import Treap
+        from repro.ds.heap_index import HeapIndex
 
         with obs.capture() as handle:
             prf = Prf(b"kernel-test-secret")
@@ -70,16 +70,14 @@ class TestProxyInstrumentation:
                                          mac_key=b"mac-key-kernel")
             blobs = cipher.encrypt_many([b"a", b"b", b"c"])
             cipher.decrypt_many(blobs)
-            tree = Treap(seed=1)
-            for i in range(8):
-                tree.insert(f"k{i}", (i, i, f"k{i}"))
-            tree.pop_min_many(4)
+            index = HeapIndex((i, i, f"k{i}") for i in range(8))
+            index.pop_min_many(4)
         counters = handle.registry.snapshot()["counters"]
         assert counters["kernel.prf.derive_many.calls.total"] == 1
         assert counters["kernel.prf.derive_many.items.total"] == 2
         assert counters["kernel.aead.encrypt_many.items.total"] == 3
         assert counters["kernel.aead.decrypt_many.items.total"] == 3
-        assert counters["kernel.treap.pop_min_many.items.total"] == 4
+        assert counters["kernel.index.pop_min_many.items.total"] == 4
         hists = handle.registry.snapshot()["histograms"]
         assert hists["kernel.aead.encrypt_many.seconds"]["count"] == 1
 

@@ -27,7 +27,7 @@ from repro.sim.perf import _build_proxy, _request_stream
 def test_disabled_span_is_shared_singleton():
     obs.disable()
     assert obs.OBS.span("round") is NULL_SPAN
-    assert obs.OBS.span("phase.derive", writes=64) is NULL_SPAN
+    assert obs.OBS.span("phase.seal", writes=64) is NULL_SPAN
 
 
 def test_disabled_round_records_nothing():

@@ -136,7 +136,7 @@ class TestProxyIntegration:
         round_ids = {r["span_id"] for r in handle.tracer.spans("round")}
         assert len(round_ids) == 4
         for phase in ("phase.plan", "phase.server_io", "phase.decrypt",
-                      "phase.cache", "phase.evict", "phase.derive"):
+                      "phase.cache", "phase.evict", "phase.seal"):
             spans = handle.tracer.spans(phase)
             assert spans, f"no {phase} spans"
             assert all(span["parent"] in round_ids for span in spans), phase

@@ -15,7 +15,6 @@ optimization entirely must fail.
 from repro.sim.perf import (
     bench_aead_kernel,
     bench_cache_kernel,
-    bench_index_kernel,
     bench_prf_kernel,
     bench_rounds,
     compare_traces,
@@ -31,10 +30,6 @@ class TestKernelRegression:
     def test_batched_prf_beats_scalar(self):
         row = bench_prf_kernel(batch=800, repeats=5)
         assert row["speedup"] > 1.05
-
-    def test_batched_index_beats_scalar(self):
-        row = bench_index_kernel(population=2048, take=256, repeats=5)
-        assert row["speedup"] > 1.5
 
     def test_bulk_cache_probe_beats_scalar(self):
         """The bulk ``get_if_present_many`` probe must at least break
