@@ -7,14 +7,13 @@ over worker counts, this one runs real rounds through
 overlays the measured rounds/sec curve on the model's prediction.  Every
 pooled run moves its chunks through shared-memory segments; the report
 also re-measures one pooled point on the legacy pickle pipe so the
-transport win stays visible, and labels a run per crypto backend.
+transport win stays visible.
 
 Two families of assertion:
 
 * **Byte identity** (unconditional, any machine): the adversary trace
-  and response digests must be identical for every worker count, every
-  transport, and every backend × worker combination, and the
-  shard-parallel ``PartitionedWaffle`` must match its serial twin per
+  and response digests must be identical for every worker count and
+  every transport, and the shard-parallel ``PartitionedWaffle`` must match its serial twin per
   partition.  Parallelism must be invisible to the adversary.
 * **Speedup** (gated on ``os.cpu_count()``): 2 workers ≥ 1.5× and
   4 workers ≥ 2.5× on a ≥4-core machine; 2 workers ≥ 1.3× when only
@@ -24,14 +23,12 @@ Two families of assertion:
 
 Results are published to ``benchmarks/results/parallel.txt`` and, as
 machine-readable JSON, to ``BENCH_parallel.json`` at the repo root.
-Run standalone (``python benchmarks/bench_parallel.py``), optionally
-restricting the backend matrix with ``--backend`` (repeatable), or
-through pytest-benchmark like the other benchmarks.
+Run standalone (``python benchmarks/bench_parallel.py``) or through
+pytest-benchmark like the other benchmarks.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -71,27 +68,15 @@ def _render(report: dict) -> str:
                 f"  {transport:>5} @ {row['workers']} workers: "
                 f"{row['rounds_per_sec']:>8.2f} rounds/s "
                 f"({row['speedup']:.2f}x vs serial)")
-    if report["backends"]:
-        lines += ["", "crypto backends (byte-identical; wall clock only):"]
-        for backend, runs in sorted(report["backends"].items()):
-            for workers, row in sorted(runs.items(), key=lambda kv: int(kv[0])):
-                lines.append(
-                    f"  {backend:>8} @ {workers} worker(s): "
-                    f"{row['rounds_per_sec']:>8.2f} rounds/s "
-                    f"({row['speedup']:.2f}x vs serial pure)")
     shard = report["shard_equivalence"]
     small = report["small_shape_equivalence"]
-    matrix = report["backend_equivalence"]
     lines += [
         "",
         "byte identity (adversary trace + responses):",
-        f"  across workers/transports/backends  : "
+        f"  across workers/transports           : "
         + ("IDENTICAL" if report["digests_identical"] else "DIVERGED"),
         f"  across worker counts (small shape)  : "
         + ("IDENTICAL" if small["identical"] else "DIVERGED"),
-        f"  backend x worker matrix "
-        f"({len(matrix['combos'])} combos)   : "
-        + ("IDENTICAL" if matrix["identical"] else "DIVERGED"),
         f"  shard-parallel vs serial partitions : "
         + ("IDENTICAL" if shard["identical"] else "DIVERGED"),
     ]
@@ -109,11 +94,9 @@ def _check(report: dict) -> list[str]:
     # Security first: parallelism must not perturb a single adversary-
     # visible byte, regardless of how many cores this machine has.
     assert report["digests_identical"], \
-        "adversary trace diverged across workers/transports/backends"
+        "adversary trace diverged across workers/transports"
     assert report["small_shape_equivalence"]["identical"], \
         "small-shape trace diverged across worker counts"
-    assert report["backend_equivalence"]["identical"], \
-        "backend x worker matrix diverged from serial pure"
     assert report["shard_equivalence"]["identical"], \
         "shard-parallel PartitionedWaffle diverged from serial"
 
@@ -144,9 +127,8 @@ def _check(report: dict) -> list[str]:
     return skipped
 
 
-def run(backends: list[str] | None = None) -> dict:
-    return run_parallel_benchmark(worker_counts=WORKER_COUNTS,
-                                  backends=backends)
+def run() -> dict:
+    return run_parallel_benchmark(worker_counts=WORKER_COUNTS)
 
 
 def test_parallel_rounds(benchmark):
@@ -161,14 +143,8 @@ def test_parallel_rounds(benchmark):
         pytest.skip("; ".join(skipped))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend", action="append", dest="backends", metavar="NAME",
-        help="crypto backend to include in the matrix (repeatable; "
-             "default: every available backend)")
-    args = parser.parse_args(argv)
-    report = run(backends=args.backends)
+def main() -> int:
+    report = run()
     print(_render(report))
     JSON_PATH.write_text(json.dumps(report, indent=2, default=str) + "\n")
     print(f"\nreport -> {JSON_PATH}")

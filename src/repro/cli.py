@@ -161,11 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="W1,W2,...",
                        help="worker counts to sweep with --parallel "
                             "(default 1,2,4,8)")
-    bench.add_argument("--backend", action="append", dest="backends",
-                       metavar="NAME",
-                       help="crypto backend for the --parallel matrix "
-                            "(repeatable; default: every available "
-                            "backend — see REPRO_CRYPTO_BACKEND)")
     bench.add_argument("--n", type=int, default=None,
                        help="database size (default: harness default)")
     bench.add_argument("--rounds", type=int, default=None,
@@ -488,11 +483,9 @@ def _run_bench(args) -> int:
         kwargs["rounds"] = args.rounds
     if args.parallel:
         report = run_parallel_benchmark(worker_counts=args.workers,
-                                        backends=args.backends, **kwargs)
+                                        **kwargs)
         print(f"cpu_count={report['cpu_count']}  "
               f"digests_identical={report['digests_identical']}  "
-              f"backend_matrix_identical="
-              f"{report['backend_equivalence']['identical']}  "
               f"shard_identical={report['shard_equivalence']['identical']}")
         for workers, row in sorted(report["measured"].items()):
             modeled = report["modeled_speedup"].get(workers)
@@ -504,11 +497,6 @@ def _run_bench(args) -> int:
             print(f"  transport={transport} @ {row['workers']} workers: "
                   f"{row['rounds_per_sec']:.2f} rounds/s "
                   f"(speedup {row['speedup']:.2f}x)")
-        for backend, runs in sorted(report["backends"].items()):
-            for workers, row in sorted(runs.items(), key=lambda kv: int(kv[0])):
-                print(f"  backend={backend} @ {workers} worker(s): "
-                      f"{row['rounds_per_sec']:.2f} rounds/s "
-                      f"(speedup {row['speedup']:.2f}x)")
     else:
         report = run_wallclock_benchmark(**kwargs)
         e2e = report["end_to_end"]
@@ -517,8 +505,7 @@ def _run_bench(args) -> int:
               f"(trace identical: "
               f"{report['trace_equivalence']['identical']})")
         for name, row in report["kernels"].items():
-            speedup = row.get("speedup") or row.get("encrypt_speedup")
-            print(f"  kernel {name}: {speedup:.2f}x")
+            print(f"  kernel {name}: {row['speedup']:.2f}x")
     if args.out:
         # No sort_keys: the parallel report keys sweep tables by integer
         # worker count, which does not sort against its string keys.

@@ -79,12 +79,6 @@ class WaffleConfig:
     #: ``"round_robin"`` skips the reset and satisfies Theorem 7.1 exactly.
     #: See :meth:`alpha_bound` vs :meth:`alpha_bound_effective`.
     dummy_policy: str = "reshuffle"
-    #: Crypto backend name (``pure``/``nacl``/``openssl``/``auto``; see
-    #: :mod:`repro.crypto.backend`).  ``None`` defers to the
-    #: ``REPRO_CRYPTO_BACKEND`` environment variable, then ``pure``.
-    #: Every backend is byte-identical — this knob trades wall clock,
-    #: never bytes, so traces and checkpoints are backend-independent.
-    crypto_backend: str | None = None
     #: Fake-real selection policy.  ``"least_recent"`` is Waffle's design
     #: (Challenge 2).  ``"uniform"`` picks server-resident keys uniformly
     #: at random instead — the ablation baseline, which loses the α bound
@@ -128,12 +122,6 @@ class WaffleConfig:
                 "the server must always hold at least B - f_D real objects "
                 "for fake queries: require C + B - f_D <= N"
             )
-        if self.crypto_backend is not None:
-            # Validation only (raises ConfigurationError on unknown names);
-            # resolution to an available backend happens at keychain build.
-            from repro.crypto.backend import resolve_backend_name
-
-            resolve_backend_name(self.crypto_backend)
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -1,54 +1,34 @@
-"""Authenticated encryption built from the standard library.
+"""Authenticated encryption of values: AES-256-GCM.
 
-The environment offers no third-party crypto package, so we construct an
-encrypt-then-MAC scheme from SHA-256:
+Waffle's proxy needs two properties from the value cipher ``E(v)``
+(§3.1): randomized ciphertexts, so that re-encrypting a value yields a
+fresh blob and written-back objects are unlinkable, and tamper
+detection.  AES-256-GCM from the ``cryptography`` package gives both at
+a few microseconds per KiB (AES-NI and carry-less multiply under
+OpenSSL).
 
-* confidentiality: a per-message random nonce seeds a SHA-256 keystream
-  (CTR-style: ``SHA256(enc_key || nonce || counter)``) XOR-ed with the
-  plaintext;
-* integrity: HMAC-SHA256 under an independent MAC key over
-  ``nonce || ciphertext``; verification is constant-time.
-
-This is the classical encrypt-then-MAC composition and gives exactly the
-interface and properties Waffle's proxy needs from ``E(v)`` (§3.1):
-randomized ciphertexts (re-encrypting the same value yields a fresh
-ciphertext, so written-back objects are unlinkable) and tamper detection.
-Ciphertext length depends only on plaintext length, matching the paper's
-equal-length-values assumption.
-
-Hot path: every batch round encrypts and decrypts ``~B`` values of
-``value_size`` bytes, so the kernels avoid per-byte Python:
-
-* the keystream XOR is one big-int XOR (``int.from_bytes ^ int.from_bytes``)
-  instead of a byte-at-a-time generator;
-* the keystream's ``enc_key`` prefix is absorbed into a SHA-256 state once
-  per cipher and the ``enc_key || nonce`` prefix once per message, with
-  ``.copy()`` per counter block;
-* the MAC's keyed state is precomputed once and ``.copy()``-ed per message.
-
-All three transformations are bit-compatible with the naive forms (pinned
-by the known-answer tests), so ciphertexts written by older builds still
-decrypt.  :meth:`encrypt_many`/:meth:`decrypt_many` amortize per-call
-dispatch across a whole batch.
+Layout: ``nonce(12) || ciphertext || tag(16)``, so every blob is the
+plaintext length plus :data:`OVERHEAD` (28) bytes and ciphertext length
+depends only on plaintext length, matching the paper's
+equal-length-values assumption.  Each value gets a fresh 96-bit nonce
+from :func:`os.urandom`; a caller-supplied ``rng`` replaces that source
+for deterministic tests only.  A random 96-bit nonce stays within
+NIST SP 800-38D's collision bound for 2^32 encryptions under one key.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 import time
 from typing import Callable, Iterable, Protocol, Sequence
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from repro.errors import IntegrityError
 from repro.obs import OBS
 
-try:  # vectorized XOR when available; the big-int path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-__all__ = ["AuthenticatedCipher", "RandomSource"]
+__all__ = ["AuthenticatedCipher", "NONCE_LEN", "RandomSource"]
 
 
 class RandomSource(Protocol):
@@ -56,177 +36,104 @@ class RandomSource(Protocol):
 
     def randbytes(self, n: int) -> bytes: ...
 
-_NONCE_LEN = 16
-_TAG_LEN = 32
-_BLOCK_LEN = 32  # SHA-256 output size drives the keystream block size
-
-#: Big-int XOR wins below this length (numpy's fixed call overhead), the
-#: vectorized byte XOR above it.
-_NP_XOR_CUTOFF = 128
-
-#: Lazily grown table of pre-encoded keystream counters (shared: counter
-#: encoding is key/nonce independent).
-_COUNTER_BYTES: list[bytes] = [i.to_bytes(8, "big") for i in range(64)]
-
-
-def _xor_bytes(data: bytes, stream: bytes) -> bytes:
-    """XOR two equal-length byte strings without a per-byte Python loop."""
-    if _np is not None and len(data) >= _NP_XOR_CUTOFF:
-        return (
-            _np.frombuffer(data, dtype=_np.uint8)
-            ^ _np.frombuffer(stream, dtype=_np.uint8)
-        ).tobytes()
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
-
-
-def _counters(count: int) -> list[bytes]:
-    while len(_COUNTER_BYTES) < count:
-        _COUNTER_BYTES.append(len(_COUNTER_BYTES).to_bytes(8, "big"))
-    return _COUNTER_BYTES[:count]
+KEY_LEN = 32
+NONCE_LEN = 12
+TAG_LEN = 16
+OVERHEAD = NONCE_LEN + TAG_LEN
 
 
 class AuthenticatedCipher:
-    """Encrypt-then-MAC authenticated symmetric cipher.
+    """AES-256-GCM value cipher.
 
     Parameters
     ----------
-    enc_key:
-        Key for the keystream.
-    mac_key:
-        Independent key for the HMAC tag.
+    key:
+        The 32-byte AES-256 key.
     rng:
-        Optional ``random.Random``-like object with ``randbytes``; supplied
-        by tests for deterministic nonces.  Defaults to ``os.urandom``.
+        Optional ``random.Random``-like object with ``randbytes``;
+        supplied by tests for deterministic nonces.  Defaults to
+        ``os.urandom``.
     """
 
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_stream_root", "_mac_keyed")
+    __slots__ = ("_key", "_randbytes", "_aead")
 
-    #: Registry name of the implementation (native subclasses override;
-    #: see :mod:`repro.crypto.backend`).  All backends are byte-identical.
-    backend_name = "pure"
+    def __init__(self, key: bytes, rng: RandomSource | None = None) -> None:
+        if len(key) != KEY_LEN:
+            raise ValueError(f"cipher key must be {KEY_LEN} bytes")
+        self._key = bytes(key)
+        self._randbytes: Callable[[int], bytes] = (
+            rng.randbytes if rng is not None else os.urandom)
+        self._aead = AESGCM(self._key)
 
-    def __init__(self, enc_key: bytes, mac_key: bytes,
-                 rng: RandomSource | None = None) -> None:
-        if not enc_key or not mac_key:
-            raise ValueError("cipher keys must be non-empty")
-        if enc_key == mac_key:
-            raise ValueError("encryption and MAC keys must be independent")
-        self._enc_key = bytes(enc_key)
-        self._mac_key = bytes(mac_key)
-        self._randbytes = rng.randbytes if rng is not None else os.urandom
-        # SHA-256 state with enc_key already absorbed; copied per message.
-        self._stream_root = hashlib.sha256(self._enc_key)
-        # Keyed-but-empty HMAC state; copied per message (skips re-keying).
-        self._mac_keyed = hmac.new(self._mac_key, None, hashlib.sha256)
+    def __getstate__(self) -> tuple[bytes, Callable[[int], bytes]]:
+        # The AESGCM context is a native object and cannot pickle; the
+        # key fully determines it (checkpoint shipping, ha/).
+        return self._key, self._randbytes
 
-    def __getstate__(self) -> tuple[bytes, bytes, Callable[[int], bytes]]:
-        # The cached digest states are C objects and cannot pickle; the
-        # keys fully determine them (checkpoint shipping, ha/).
-        return self._enc_key, self._mac_key, self._randbytes
-
-    def __setstate__(self, state: tuple[bytes, bytes,
-                                        Callable[[int], bytes]]) -> None:
-        self._enc_key, self._mac_key, self._randbytes = state
-        self._stream_root = hashlib.sha256(self._enc_key)
-        self._mac_keyed = hmac.new(self._mac_key, None, hashlib.sha256)
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        if length <= 0:
-            return b""
-        prefix = self._stream_root.copy()
-        prefix.update(nonce)
-        copy = prefix.copy
-        blocks = []
-        append = blocks.append
-        for counter in _counters((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
-            block = copy()
-            block.update(counter)
-            append(block.digest())
-        stream = b"".join(blocks)
-        return stream if len(stream) == length else stream[:length]
-
-    def _tag(self, nonce: bytes, body: bytes) -> bytes:
-        mac = self._mac_keyed.copy()
-        mac.update(nonce)
-        mac.update(body)
-        return mac.digest()
+    def __setstate__(self, state: tuple[bytes, Callable[[int], bytes]]) -> None:
+        self._key, self._randbytes = state
+        self._aead = AESGCM(self._key)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for ``plaintext``."""
-        nonce = self._randbytes(_NONCE_LEN)
-        body = _xor_bytes(plaintext, self._keystream(nonce, len(plaintext)))
-        return nonce + body + self._tag(nonce, body)
+        nonce = self._randbytes(NONCE_LEN)
+        return nonce + self._aead.encrypt(nonce, plaintext, None)
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify and decrypt ``blob``; raise :class:`IntegrityError` on tamper."""
-        if len(blob) < _NONCE_LEN + _TAG_LEN:
+        if len(blob) < OVERHEAD:
             raise IntegrityError("ciphertext too short")
-        nonce = blob[:_NONCE_LEN]
-        body = blob[_NONCE_LEN:-_TAG_LEN]
-        tag = blob[-_TAG_LEN:]
-        if not hmac.compare_digest(tag, self._tag(nonce, body)):
-            raise IntegrityError("authentication tag mismatch")
-        return _xor_bytes(body, self._keystream(nonce, len(body)))
+        try:
+            return self._aead.decrypt(blob[:NONCE_LEN], blob[NONCE_LEN:], None)
+        except InvalidTag:
+            raise IntegrityError("authentication tag mismatch") from None
 
     def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         """Batched :meth:`encrypt`; blob ``i`` encrypts ``plaintexts[i]``.
 
-        Nonces are drawn in input order, so under a deterministic rng the
-        batch form is byte-identical to looping :meth:`encrypt`.
+        Nonces are drawn in one call, in input order; under a
+        ``random.Random`` rng the batch form is byte-identical to looping
+        :meth:`encrypt` (``randbytes`` output concatenates across calls
+        whose lengths are multiples of four).
         """
+        items = list(plaintexts)
         if OBS.enabled:
             start = time.perf_counter()
-            out = self._encrypt_many(plaintexts)
+            out = self.encrypt_with_nonces(items, self.draw_nonces(len(items)))
             OBS.observe_kernel("aead.encrypt_many",
                                time.perf_counter() - start, len(out))
             return out
-        return self._encrypt_many(plaintexts)
-
-    def _encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
-        randbytes = self._randbytes
-        keystream = self._keystream
-        tag = self._tag
-        out = []
-        append = out.append
-        for plaintext in plaintexts:
-            nonce = randbytes(_NONCE_LEN)
-            body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
-            append(nonce + body + tag(nonce, body))
-        return out
+        return self.encrypt_with_nonces(items, self.draw_nonces(len(items)))
 
     def draw_nonces(self, count: int) -> list[bytes]:
-        """Draw ``count`` nonces from this cipher's rng, in order.
+        """Draw ``count`` nonces from this cipher's source, in order.
 
         Split out of :meth:`encrypt_many` for the parallel engine: the
-        coordinator draws all nonces serially (keeping the rng stream
-        identical to inline execution draw-for-draw) and ships them to
-        workers alongside the plaintexts.
+        coordinator draws all nonces serially and ships them to workers
+        alongside the plaintexts.
         """
-        randbytes = self._randbytes
-        return [randbytes(_NONCE_LEN) for _ in range(count)]
+        block = self._randbytes(NONCE_LEN * count)
+        return [block[i:i + NONCE_LEN]
+                for i in range(0, NONCE_LEN * count, NONCE_LEN)]
 
     def encrypt_with_nonces(self, plaintexts: Sequence[bytes],
                             nonces: Sequence[bytes]) -> list[bytes]:
         """Batched encryption under caller-supplied nonces.
 
         ``encrypt_with_nonces(pts, draw_nonces(len(pts)))`` is
-        byte-identical to :meth:`encrypt_many` on ``pts`` — the split
-        lets the nonce draws happen on a coordinating thread while the
-        keystream/MAC work runs on pool workers.
+        :meth:`encrypt_many` on ``pts``; the split lets the nonce draws
+        happen on a coordinating thread while the AES work runs on pool
+        workers.
         """
         if len(plaintexts) != len(nonces):
             raise ValueError("plaintexts and nonces must pair up")
-        keystream = self._keystream
-        tag = self._tag
-        out = []
+        seal = self._aead.encrypt
+        out: list[bytes] = []
         append = out.append
         for plaintext, nonce in zip(plaintexts, nonces):
-            if len(nonce) != _NONCE_LEN:
-                raise ValueError(f"nonces must be {_NONCE_LEN} bytes")
-            body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
-            append(nonce + body + tag(nonce, body))
+            if len(nonce) != NONCE_LEN:
+                raise ValueError(f"nonces must be {NONCE_LEN} bytes")
+            append(nonce + seal(nonce, plaintext, None))
         return out
 
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
@@ -240,21 +147,18 @@ class AuthenticatedCipher:
         return self._decrypt_many(blobs)
 
     def _decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        compare = hmac.compare_digest
-        keystream = self._keystream
-        tag = self._tag
-        out = []
+        open_ = self._aead.decrypt
+        out: list[bytes] = []
         append = out.append
-        for blob in blobs:
-            if len(blob) < _NONCE_LEN + _TAG_LEN:
-                raise IntegrityError("ciphertext too short")
-            nonce = blob[:_NONCE_LEN]
-            body = blob[_NONCE_LEN:-_TAG_LEN]
-            if not compare(blob[-_TAG_LEN:], tag(nonce, body)):
-                raise IntegrityError("authentication tag mismatch")
-            append(_xor_bytes(body, keystream(nonce, len(body))))
+        try:
+            for blob in blobs:
+                if len(blob) < OVERHEAD:
+                    raise IntegrityError("ciphertext too short")
+                append(open_(blob[:NONCE_LEN], blob[NONCE_LEN:], None))
+        except InvalidTag:
+            raise IntegrityError("authentication tag mismatch") from None
         return out
 
     def ciphertext_overhead(self) -> int:
         """Bytes added to every plaintext (nonce + tag)."""
-        return _NONCE_LEN + _TAG_LEN
+        return OVERHEAD

@@ -1,10 +1,10 @@
 """Key management for the trusted proxy.
 
 The proxy owns all secrets (§3.1): the PRF key that derives storage ids and
-the keys of the authenticated value cipher.  :class:`KeyChain` derives all
-of them from one master secret with domain-separated HMAC so a single seed
-reproduces an entire deployment — important for deterministic tests and for
-replaying experiments.
+the key of the value cipher.  :class:`KeyChain` derives both from one
+master secret with domain-separated HMAC so a single seed reproduces an
+entire deployment — important for deterministic tests and for replaying
+experiments.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import hmac
 import hashlib
 import os
 
-from repro.crypto.aead import RandomSource
-from repro.crypto.backend import get_backend
+from repro.crypto.aead import AuthenticatedCipher, RandomSource
+from repro.crypto.prf import Prf
 
 __all__ = ["KeyChain"]
 
@@ -31,37 +31,25 @@ class KeyChain:
     master:
         Master secret.  ``None`` draws a fresh random secret.
     rng:
-        Optional deterministic RNG forwarded to the value cipher (tests).
-    backend:
-        Crypto backend name (see :mod:`repro.crypto.backend`); ``None``
-        defers to ``REPRO_CRYPTO_BACKEND`` / ``pure``.  Every backend is
-        byte-identical, so the choice never affects derived ids,
-        ciphertexts, or checkpoint replay.
+        Optional deterministic nonce source for the value cipher (tests).
     """
 
     __slots__ = ("_master", "prf", "cipher")
 
     def __init__(self, master: bytes | None = None,
-                 rng: RandomSource | None = None,
-                 backend: str | None = None) -> None:
+                 rng: RandomSource | None = None) -> None:
         self._master = bytes(master) if master is not None else os.urandom(32)
         if not self._master:
             raise ValueError("master key must be non-empty")
-        kernels = get_backend(backend)
-        self.prf = kernels.make_prf(_derive(self._master, b"prf"))
-        self.cipher = kernels.make_cipher(
-            enc_key=_derive(self._master, b"enc"),
-            mac_key=_derive(self._master, b"mac"),
-            rng=rng,
-        )
+        self.prf = Prf(_derive(self._master, b"prf"))
+        self.cipher = AuthenticatedCipher(
+            _derive(self._master, b"aes-256-gcm"), rng=rng)
 
     @classmethod
     def from_seed(cls, seed: int,
-                  rng: RandomSource | None = None,
-                  backend: str | None = None) -> "KeyChain":
+                  rng: RandomSource | None = None) -> "KeyChain":
         """Deterministic keychain for reproducible experiments."""
-        return cls(seed.to_bytes(16, "big", signed=True), rng=rng,
-                   backend=backend)
+        return cls(seed.to_bytes(16, "big", signed=True), rng=rng)
 
     def seal_many(self, pairs: list[tuple[str, int]],
                   values: list[bytes]) -> tuple[list[str], list[bytes]]:

@@ -114,8 +114,8 @@ class PrintOutsideCliRule(Rule):
 
 
 #: Native crypto wheels; every import stays inside repro/crypto/ so the
-#: backend registry is the single place that probes, falls back, and
-#: proves byte-identity against the pure oracle.
+#: value cipher and the PRF are the only primitives the proxy uses, each
+#: pinned by known-answer tests, and a key never reaches ad-hoc crypto.
 _NATIVE_CRYPTO = {"nacl", "cryptography"}
 
 _CRYPTO_SCOPE = "repro/crypto/"
@@ -124,9 +124,9 @@ _CRYPTO_SCOPE = "repro/crypto/"
 class NativeCryptoImportRule(Rule):
     id = "OBL305"
     name = "native-crypto-import"
-    description = ("nacl/cryptography imports outside crypto/ bypass the "
-                   "backend registry's availability probe and pure "
-                   "fallback; only repro.crypto may touch native wheels")
+    description = ("nacl/cryptography imports outside crypto/ add "
+                   "primitives no known-answer test pins; only "
+                   "repro.crypto may touch native crypto packages")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if module.relpath.startswith(_CRYPTO_SCOPE):
@@ -145,9 +145,8 @@ class NativeCryptoImportRule(Rule):
                     yield module.finding(
                         self, node,
                         f"import of native crypto package {root!r} "
-                        "outside crypto/; go through "
-                        "repro.crypto.backend.get_backend so the pure "
-                        "fallback and parity oracle apply")
+                        "outside crypto/; use the KeyChain's prf and "
+                        "cipher from repro.crypto instead")
 
 
 class UnbatchedDeleteRule(Rule):

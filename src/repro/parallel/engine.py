@@ -31,9 +31,8 @@ Transport: chunks default to shared-memory segments (see
 segment, workers read views and write results into a response segment,
 and only segment names cross the pipe), with the PR-5 pickle pipe kept
 as ``transport="pipe"`` for apples-to-apples benchmarking.  Both
-transports carry the crypto backend name in the chunk material, so
-workers always rebuild the coordinator's (byte-identical) kernel
-implementation.
+transports carry the raw key material in each chunk, so workers rebuild
+the coordinator's kernels from it.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ class WorkerPool:
                 out_bytes += request_len
                 # Sized for every kind's worst case: derive emits 36
                 # bytes per frame from arbitrarily small inputs, encrypt
-                # adds nonce+tag (48) per frame, decrypt only shrinks.
+                # adds the 16-byte tag per frame, decrypt only shrinks.
                 # The telemetry allowance leaves room for the piggyback
                 # delta frame; the worker drops the delta (never fails
                 # the chunk) if it would not fit.
@@ -319,10 +318,7 @@ class PooledPrf:
     def __init__(self, inner: Prf, pool: WorkerPool) -> None:
         self._inner = inner
         self._pool = pool
-        # Material carries the backend name so workers rebuild the same
-        # (byte-identical) kernel implementation the coordinator runs.
-        self._material = (b"prf", inner.backend_name.encode("ascii"),
-                         inner.__getstate__())
+        self._material = (b"prf", inner.__getstate__())
 
     @property
     def inner(self) -> Prf:
@@ -359,9 +355,8 @@ class PooledCipher:
     def __init__(self, inner: AuthenticatedCipher, pool: WorkerPool) -> None:
         self._inner = inner
         self._pool = pool
-        enc_key, mac_key, _ = inner.__getstate__()
-        self._material = (b"aead", inner.backend_name.encode("ascii"),
-                         enc_key, mac_key)
+        key, _ = inner.__getstate__()
+        self._material = (b"aead", key)
 
     @property
     def inner(self) -> AuthenticatedCipher:

@@ -5,25 +5,24 @@ paper's figures do not measure CPython (DESIGN.md §1).  This module is
 the deliberate exception: the ROADMAP's north star is a proxy that also
 runs fast in real time, so we need a measurement of what the hardware
 actually does per round — and a scalar reference implementation to hold
-the batched kernels accountable against.
+the batched PRF accountable against.
 
 Three layers:
 
-* **Scalar reference kernels** — :class:`ScalarPrf` and
-  :class:`ScalarCipher` preserve the original one-call-at-a-time
-  implementations (fresh ``hmac.new`` per derivation, per-byte generator
-  XOR).  They are bit-compatible with the optimized kernels and expose
-  the same ``derive_many``/``encrypt_many``/``decrypt_many`` surface, so
-  an unmodified :class:`~repro.core.proxy.WaffleProxy` runs on either —
-  which is both the equivalence oracle and the benchmark baseline.
-* **Kernel microbenchmarks** — :func:`bench_prf_kernel`,
-  :func:`bench_aead_kernel` and :func:`bench_cache_kernel` time one
-  kernel in isolation at a representative round shape.
+* **Scalar reference PRF** — :class:`ScalarPrf` preserves the original
+  one-call-at-a-time derivation (fresh ``hmac.new`` per call).  It is
+  bit-compatible with :class:`~repro.crypto.prf.Prf` and exposes the
+  same ``derive_many`` surface, so an unmodified
+  :class:`~repro.core.proxy.WaffleProxy` runs on either — which is both
+  the equivalence oracle and the benchmark baseline.
+* **Kernel microbenchmarks** — :func:`bench_prf_kernel` and
+  :func:`bench_cache_kernel` time one kernel in isolation at a
+  representative round shape.
 * **End-to-end rounds** — :func:`bench_rounds` drives a real proxy
   against an in-memory store and reports rounds/sec and µs/request, with
   a PRF/AEAD/other breakdown captured by timing wrappers, and
   :func:`compare_traces` checks that the adversary-visible access
-  sequence is independent of which kernel set ran.
+  sequence is independent of which PRF kernel ran.
 
 :func:`run_wallclock_benchmark` bundles all of it into one
 machine-readable dict (``benchmarks/bench_wallclock.py`` writes it to
@@ -44,15 +43,12 @@ from repro.core.config import WaffleConfig
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.ds.lru import LruCache
-from repro.errors import IntegrityError
 from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
 from repro.workloads.trace import Operation
 
 __all__ = [
-    "ScalarCipher",
     "ScalarPrf",
-    "bench_aead_kernel",
     "bench_cache_kernel",
     "bench_prf_kernel",
     "bench_rounds",
@@ -68,14 +64,11 @@ __all__ = [
     "scalar_keychain",
 ]
 
-_NONCE_LEN = 16
-_TAG_LEN = 32
-_BLOCK_LEN = 32
 _DIGEST_HEX_LEN = 32
 
 
 # ----------------------------------------------------------------------
-# scalar reference kernels (the pre-optimization implementations)
+# scalar reference PRF (the pre-optimization implementation)
 # ----------------------------------------------------------------------
 class ScalarPrf:
     """The original per-call PRF: a fresh ``hmac.new`` every derivation.
@@ -104,72 +97,15 @@ class ScalarPrf:
         return hmac.new(self._secret, data, hashlib.sha256).digest()
 
 
-class ScalarCipher:
-    """The original AEAD: per-block ``sha256(key||nonce||ctr)`` with a
-    per-byte generator XOR.  Bit-compatible with
-    :class:`repro.crypto.aead.AuthenticatedCipher`."""
-
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes")
-
-    def __init__(self, enc_key: bytes, mac_key: bytes, rng=None) -> None:
-        if not enc_key or not mac_key:
-            raise ValueError("cipher keys must be non-empty")
-        if enc_key == mac_key:
-            raise ValueError("encryption and MAC keys must be independent")
-        self._enc_key = bytes(enc_key)
-        self._mac_key = bytes(mac_key)
-        self._randbytes = rng.randbytes if rng is not None else os.urandom
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        for counter in range((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
-            block_input = self._enc_key + nonce + counter.to_bytes(8, "big")
-            blocks.append(hashlib.sha256(block_input).digest())
-        return b"".join(blocks)[:length]
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        nonce = self._randbytes(_NONCE_LEN)
-        stream = self._keystream(nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        return nonce + body + tag
-
-    def decrypt(self, blob: bytes) -> bytes:
-        if len(blob) < _NONCE_LEN + _TAG_LEN:
-            raise IntegrityError("ciphertext too short")
-        nonce = blob[:_NONCE_LEN]
-        body = blob[_NONCE_LEN:-_TAG_LEN]
-        tag = blob[-_TAG_LEN:]
-        expected = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expected):
-            raise IntegrityError("authentication tag mismatch")
-        stream = self._keystream(nonce, len(body))
-        return bytes(c ^ s for c, s in zip(body, stream))
-
-    def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
-        return [self.encrypt(plaintext) for plaintext in plaintexts]
-
-    def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        return [self.decrypt(blob) for blob in blobs]
-
-    def ciphertext_overhead(self) -> int:
-        return _NONCE_LEN + _TAG_LEN
-
-
 def scalar_keychain(seed: int, rng=None) -> KeyChain:
-    """A :class:`KeyChain` whose kernels are the scalar references.
+    """A :class:`KeyChain` whose PRF is the scalar reference.
 
-    Key material is identical to ``KeyChain.from_seed(seed)`` — only the
-    kernel implementations differ — so the two chains produce identical
-    storage ids and mutually decryptable ciphertexts.
+    Key material is identical to ``KeyChain.from_seed(seed)`` and the
+    cipher is the real one, so the two chains produce identical storage
+    ids and mutually decryptable ciphertexts.
     """
     chain = KeyChain.from_seed(seed, rng=rng)
     chain.prf = ScalarPrf(chain.prf._secret)
-    chain.cipher = ScalarCipher(
-        enc_key=chain.cipher._enc_key,
-        mac_key=chain.cipher._mac_key,
-        rng=rng,
-    )
     return chain
 
 
@@ -260,35 +196,6 @@ def bench_prf_kernel(batch: int = 1000, repeats: int = 3) -> dict:
     }
 
 
-def bench_aead_kernel(batch: int = 64, value_size: int = 1024,
-                      repeats: int = 3) -> dict:
-    """Scalar vs batched encrypt+decrypt for one write+read batch."""
-    from repro.crypto.aead import AuthenticatedCipher
-
-    keys = {"enc_key": b"wallclock-enc-key", "mac_key": b"wallclock-mac-key"}
-    scalar = ScalarCipher(rng=random.Random(7), **keys)
-    batched = AuthenticatedCipher(rng=random.Random(7), **keys)
-    values = [os.urandom(value_size) for _ in range(batch)]
-    assert scalar.encrypt_many(values) == batched.encrypt_many(values)
-
-    scalar_enc = _best_of(lambda: scalar.encrypt_many(values), repeats)
-    batched_enc = _best_of(lambda: batched.encrypt_many(values), repeats)
-    blobs = batched.encrypt_many(values)
-    scalar_dec = _best_of(lambda: scalar.decrypt_many(blobs), repeats)
-    batched_dec = _best_of(lambda: batched.decrypt_many(blobs), repeats)
-    return {
-        "kernel": "aead",
-        "batch": batch,
-        "value_size": value_size,
-        "scalar_encrypt_ops_per_sec": batch / scalar_enc,
-        "batched_encrypt_ops_per_sec": batch / batched_enc,
-        "encrypt_speedup": scalar_enc / batched_enc,
-        "scalar_decrypt_ops_per_sec": batch / scalar_dec,
-        "batched_decrypt_ops_per_sec": batch / batched_dec,
-        "decrypt_speedup": scalar_dec / batched_dec,
-    }
-
-
 def bench_cache_kernel(population: int = 4096, lookups: int = 4096,
                        hit_fraction: float = 0.5, repeats: int = 3) -> dict:
     """``in`` + ``get`` double descent vs single-lookup ``get_if_present``."""
@@ -372,9 +279,9 @@ def bench_rounds(n: int = 2048, rounds: int = 30, seed: int = 99,
                  scalar: bool = False) -> dict:
     """Drive a real proxy for ``rounds`` batches and time each round.
 
-    ``scalar=True`` swaps the seed-era kernels in (same key material), so
-    the pair of runs quantifies the end-to-end effect of the batched fast
-    path alone.  The PRF/AEAD share of each round is measured by timing
+    ``scalar=True`` swaps the seed-era PRF in (same key material), so
+    the pair of runs quantifies the end-to-end effect of the batched PRF
+    alone.  The PRF/AEAD share of each round is measured by timing
     wrappers; the remainder is index/cache/bookkeeping.
     """
     config = WaffleConfig.paper_defaults(n=n, seed=seed)
@@ -412,8 +319,8 @@ def bench_rounds(n: int = 2048, rounds: int = 30, seed: int = 99,
 
 
 def compare_traces(n: int = 512, rounds: int = 12, seed: int = 31) -> dict:
-    """Run scalar-kernel and batched-kernel proxies on one fixed workload
-    and compare the adversary-visible access sequences and responses."""
+    """Run scalar-PRF and batched-PRF proxies on one fixed workload and
+    compare the adversary-visible access sequences and responses."""
     digests = {}
     for mode, chain in (("scalar", scalar_keychain(seed)),
                         ("batched", KeyChain.from_seed(seed))):
@@ -536,7 +443,6 @@ def bench_rounds_parallel(workers: int = 1, n: int = 1024, rounds: int = 12,
                           seed: int = 23, b: int = 128,
                           value_size: int = 4096,
                           min_batch: int | None = None,
-                          backend: str | None = None,
                           transport: str = "shm") -> dict:
     """Drive one proxy through ``rounds`` batches with ``workers`` workers.
 
@@ -545,20 +451,15 @@ def bench_rounds_parallel(workers: int = 1, n: int = 1024, rounds: int = 12,
     byte-identity evidence.  ``workers=1`` runs fully inline (no pool) —
     the baseline every other worker count is compared against.
 
-    ``backend`` selects the crypto backend (byte-identical; the digests
-    prove it per run) and ``transport`` the chunk channel (``"shm"``
-    segments vs the legacy ``"pipe"``), so one sweep can label every
-    combination the speedup claims rest on.
+    ``transport`` selects the chunk channel (``"shm"`` segments vs the
+    legacy ``"pipe"``), so one sweep can label every combination the
+    speedup claims rest on.
     """
     from repro.parallel import WorkerPool, attach_pool
 
     config = parallel_round_config(n=n, seed=seed, b=b,
                                    value_size=value_size)
-    proxy = _build_proxy(config, KeyChain.from_seed(seed, backend=backend),
-                         record=True)
-    # What actually ran (a requested-but-absent backend falls back to
-    # pure); captured pre-attach since pooled wrappers hide the kernel.
-    backend_used: str = proxy.keychain.prf.backend_name
+    proxy = _build_proxy(config, KeyChain.from_seed(seed), record=True)
     pool = None
     if workers > 1:
         pool = (WorkerPool(workers, transport=transport)
@@ -579,7 +480,6 @@ def bench_rounds_parallel(workers: int = 1, n: int = 1024, rounds: int = 12,
             pool.close()
     return {
         "workers": workers,
-        "backend": backend_used,
         "transport": transport if workers > 1 else "inline",
         "n": n,
         "b": config.b,
@@ -616,45 +516,6 @@ def compare_parallel_traces(worker_counts: Sequence[int] = (1, 2, 4, 8),
                                for row in digests.values()
                                if isinstance(row, dict))
     return digests
-
-
-def compare_backend_traces(worker_counts: Sequence[int] = (1, 2, 4),
-                           backends: Sequence[str] | None = None,
-                           n: int = 256, rounds: int = 6, seed: int = 31,
-                           b: int = 32, value_size: int = 512) -> dict:
-    """Byte-identity oracle over the backend × worker matrix.
-
-    Every available crypto backend at every worker count must reproduce
-    the serial ``pure`` run's adversary trace and responses exactly —
-    the acceptance contract that makes both the backend and the pool
-    pure wall-clock knobs.  ``min_batch=1`` forces even the small
-    plan-phase batches across the process boundary.
-    """
-    from repro.crypto.backend import available_backend_names
-
-    if backends is None:
-        backends = available_backend_names()
-    reference = bench_rounds_parallel(
-        workers=1, n=n, rounds=rounds, seed=seed, b=b,
-        value_size=value_size, min_batch=1, backend="pure")
-    combos: dict = {}
-    identical = True
-    for backend in backends:
-        for workers in worker_counts:
-            row = bench_rounds_parallel(
-                workers=workers, n=n, rounds=rounds, seed=seed, b=b,
-                value_size=value_size, min_batch=1, backend=backend)
-            match = (row["trace"] == reference["trace"]
-                     and row["responses"] == reference["responses"])
-            combos[f"{backend}x{workers}"] = {
-                "backend": row["backend"], "workers": workers,
-                "trace": row["trace"], "responses": row["responses"],
-                "identical": match,
-            }
-            identical = identical and match
-    return {"reference": {"trace": reference["trace"],
-                          "responses": reference["responses"]},
-            "combos": combos, "identical": identical}
 
 
 def compare_telemetry_traces(workers: int = 2, n: int = 256, rounds: int = 6,
@@ -755,22 +616,16 @@ def compare_shard_traces(partitions: int = 2, shard_workers: int = 2,
 
 def run_parallel_benchmark(worker_counts: Sequence[int] = (1, 2, 4, 8),
                            n: int = 1024, rounds: int = 12,
-                           seed: int = 23,
-                           backends: Sequence[str] | None = None) -> dict:
+                           seed: int = 23) -> dict:
     """The full multi-core report consumed by ``benchmarks/bench_parallel.py``.
 
     Sweeps ``worker_counts`` through :func:`bench_rounds_parallel` on
     the default (shm) transport, overlays the measured speedup curve on
     the :class:`PipelineModel` prediction for the same round shape,
     re-measures the 2-worker point on the legacy pipe transport (the
-    regression this engine exists to fix), adds a backend-labelled run
-    per available crypto backend, and bundles the byte-identity oracles
-    (worker counts, backend × worker matrix, shard partitions).
-
-    ``backends`` restricts the backend matrix; ``None`` measures every
-    backend whose wheel imports (always at least ``pure``).
+    regression this engine exists to fix), and bundles the byte-identity
+    oracles (worker counts, shard partitions, telemetry).
     """
-    from repro.crypto.backend import available_backend_names
     from repro.sim.costmodel import CostModel
     from repro.sim.pipeline import model_from_cost
 
@@ -804,23 +659,6 @@ def run_parallel_benchmark(worker_counts: Sequence[int] = (1, 2, 4, 8),
             row["speedup"] = row["rounds_per_sec"] / base
             transports[transport] = row
 
-    # Backend-labelled runs at the same shape (serial + one pooled
-    # point): wall-clock per backend, digests prove byte-identity.
-    if backends is None:
-        backends = available_backend_names()
-    backend_runs: dict = {}
-    for backend in backends:
-        serial = bench_rounds_parallel(workers=1, n=n, rounds=rounds,
-                                       seed=seed, backend=backend)
-        serial["speedup"] = serial["rounds_per_sec"] / base
-        backend_runs[backend] = {"1": serial}
-        if ablation_workers is not None:
-            pooled = bench_rounds_parallel(
-                workers=ablation_workers, n=n, rounds=rounds, seed=seed,
-                backend=backend)
-            pooled["speedup"] = pooled["rounds_per_sec"] / base
-            backend_runs[backend][str(ablation_workers)] = pooled
-
     reference = {"trace": measured[worker_counts[0]]["trace"],
                  "responses": measured[worker_counts[0]]["responses"]}
 
@@ -837,15 +675,9 @@ def run_parallel_benchmark(worker_counts: Sequence[int] = (1, 2, 4, 8),
         "measured": measured,
         "modeled_speedup": modeled,
         "transports": transports,
-        "backends": backend_runs,
         "digests_identical": (
             all(_matches(row) for row in measured.values())
-            and all(_matches(row) for row in transports.values())
-            and all(_matches(row) for runs in backend_runs.values()
-                    for row in runs.values())),
-        "backend_equivalence": compare_backend_traces(
-            worker_counts=tuple(w for w in worker_counts if w <= 4),
-            backends=backends),
+            and all(_matches(row) for row in transports.values())),
         "shard_equivalence": compare_shard_traces(),
         "small_shape_equivalence": compare_parallel_traces(),
         "telemetry": compare_telemetry_traces(),
@@ -865,7 +697,6 @@ def run_wallclock_benchmark(n: int = 2048, rounds: int = 30,
         "schema": "repro.wallclock/1",
         "kernels": {
             "prf": bench_prf_kernel(repeats=repeats),
-            "aead": bench_aead_kernel(repeats=repeats),
             "cache": bench_cache_kernel(repeats=repeats),
         },
         "end_to_end": {

@@ -101,8 +101,7 @@ def _initial_items(episode: Episode) -> dict[str, bytes]:
 
 def run_episode(episode: Episode,
                 wrap_store: StoreWrapper | None = None,
-                parallel_pool=None,
-                crypto_backend: str | None = None) -> EpisodeResult:
+                parallel_pool=None) -> EpisodeResult:
     """Execute ``episode`` end to end and judge it against the oracle.
 
     ``parallel_pool`` optionally routes the proxy's batched crypto
@@ -111,11 +110,6 @@ def run_episode(episode: Episode,
     pool and asserts identical oracles and traces.  Checkpoint restores
     reduce the pooled kernel wrappers back to plain kernels (they are
     byte-identical), so the pool is re-attached after every failover.
-
-    ``crypto_backend`` selects the keychain's kernel implementation
-    (:mod:`repro.crypto.backend`); every backend is byte-identical, so
-    the sweep asserts the backend — like the worker count — is not an
-    input to the oracle.
     """
     result = EpisodeResult(episode=episode)
     cfg = episode.build_config()
@@ -125,8 +119,7 @@ def run_episode(episode: Episode,
     server = RedisSim(write_once=True)
     recorder = RecordingStore(server)
     proxy = WaffleProxy(cfg, store=recorder,
-                        keychain=KeyChain.from_seed(episode.seed,
-                                                    backend=crypto_backend),
+                        keychain=KeyChain.from_seed(episode.seed),
                         log_ids=True)
     items = _initial_items(episode)
     proxy.initialize(

@@ -1,8 +1,7 @@
 """Known-bad fixture: native crypto import outside ``crypto/`` (OBL305).
 
-Native wheels are optional; only ``repro.crypto.backend`` may import
-them, so the availability probe, the graceful pure fallback, and the
-known-answer parity oracle always apply.
+Only ``repro.crypto`` may import native crypto packages, so the proxy
+uses exactly the PRF and value cipher its known-answer tests pin.
 """
 
 from cryptography.hazmat.primitives import hashes

@@ -3,16 +3,14 @@
 The chaos harness already pins that a fixed episode is deterministic
 (same faults, same trace, same responses) when run twice.  This suite
 pins the stronger property DESIGN.md §10 claims for the parallel
-engine: neither the *worker count* nor the *crypto backend* is an
-input — the same episodes, run with the batched crypto routed through
-pools of different sizes (``min_batch=1``, so even chaos-sized batches
-cross the process boundary) and through every importable backend, must
-produce identical oracles, identical collapsed traces, and identical
-fault/failover accounting.  Failovers matter here: promotion restores
-a checkpoint whose unpickling reduced the pooled kernels to plain
-ones (and, for a native backend, re-resolved it through the registry),
-and the runner re-attaches the pool — byte equality across worker
-counts and backends proves that round trip is lossless.
+engine: the *worker count* is not an input — the same episodes, run
+with the batched crypto routed through pools of different sizes
+(``min_batch=1``, so even chaos-sized batches cross the process
+boundary), must produce identical oracles, identical collapsed traces,
+and identical fault/failover accounting.  Failovers matter here:
+promotion restores a checkpoint whose unpickling reduced the pooled
+kernels to plain ones, and the runner re-attaches the pool — byte
+equality across worker counts proves that round trip is lossless.
 
 A small deterministic slice runs in tier-1; the 50-episode sweep
 carries the ``chaos`` marker for CI's dedicated step (or locally via
@@ -25,7 +23,6 @@ import pathlib
 
 import pytest
 
-from repro.crypto.backend import available_backend_names
 from repro.parallel import WorkerPool
 from repro.testing import generate_episode, run_episode
 
@@ -76,22 +73,6 @@ def test_pooled_failover_episode_is_clean():
         result = run_episode(episode, parallel_pool=pool)
     assert result.ok, "; ".join(str(v) for v in result.violations[:5])
     assert result.failovers > 0
-
-
-@pytest.mark.parametrize("backend", available_backend_names())
-def test_backend_times_workers_matches_inline_pure(backend):
-    """The backend x worker matrix: every importable backend, serial and
-    pooled, reproduces the serial-pure signature byte for byte — an
-    adverse episode exercises faults and failover, so the equality also
-    covers checkpoint restore re-resolving a native backend."""
-    episode = generate_episode(seed=77, ha_mode="replicated", **ADVERSE)
-    reference = _signature(run_episode(episode, crypto_backend="pure"))
-    assert reference["violations"] == []
-    for workers in (1, 2):
-        with WorkerPool(workers, min_batch=1) as pool:
-            signature = _signature(run_episode(
-                episode, parallel_pool=pool, crypto_backend=backend))
-        assert signature == reference, f"{backend} x {workers} diverged"
 
 
 def test_pooled_episodes_leave_no_shm():

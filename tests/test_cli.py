@@ -64,11 +64,7 @@ class TestCli:
                 "shm": {"workers": 2, "rounds_per_sec": 17.0,
                         "speedup": 1.7},
             },
-            "backends": {
-                "pure": {"2": {"rounds_per_sec": 17.0, "speedup": 1.7}},
-            },
             "digests_identical": True,
-            "backend_equivalence": {"identical": True},
             "shard_equivalence": {"identical": True},
             "small_shape_equivalence": {"identical": True},
         }
@@ -89,13 +85,10 @@ class TestCli:
                      "--n", "64", "--rounds", "2",
                      "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert seen == {"worker_counts": (1, 2), "n": 64, "rounds": 2,
-                        "backends": None}
+        assert seen == {"worker_counts": (1, 2), "n": 64, "rounds": 2}
         assert "workers=2" in out
         assert "transport=shm" in out
-        assert "backend=pure" in out
         assert "digests_identical=True" in out
-        assert "backend_matrix_identical=True" in out
         assert json.loads(out_path.read_text())["schema"] == \
             "repro.parallel/2"
 

@@ -66,8 +66,7 @@ class TestProxyInstrumentation:
         with obs.capture() as handle:
             prf = Prf(b"kernel-test-secret")
             prf.derive_many([("k", 1), ("j", 2)])
-            cipher = AuthenticatedCipher(enc_key=b"enc-key-kernel",
-                                         mac_key=b"mac-key-kernel")
+            cipher = AuthenticatedCipher(b"kernel-test-key".ljust(32, b"."))
             blobs = cipher.encrypt_many([b"a", b"b", b"c"])
             cipher.decrypt_many(blobs)
             index = HeapIndex((i, i, f"k{i}") for i in range(8))
@@ -80,6 +79,43 @@ class TestProxyInstrumentation:
         assert counters["kernel.index.pop_min_many.items.total"] == 4
         hists = handle.registry.snapshot()["histograms"]
         assert hists["kernel.aead.encrypt_many.seconds"]["count"] == 1
+
+    def test_initialize_encrypts_in_round_sized_calls(self):
+        """The one-off bulk load reaches the cipher in B-sized calls, so
+        no call in the steady-state kernel histogram exceeds B items."""
+
+        class CallSizes:
+            def __init__(self, inner):
+                self.inner = inner
+                self.sizes = []
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def encrypt_many(self, plaintexts):
+                items = list(plaintexts)
+                self.sizes.append(len(items))
+                return self.inner.encrypt_many(items)
+
+        config = WaffleConfig.paper_defaults(n=256, seed=11)
+        rounds = 3
+        chain = KeyChain.from_seed(11)
+        spy = chain.cipher = CallSizes(chain.cipher)
+        with obs.capture() as handle:
+            proxy = _build_proxy(config, chain)
+            for batch in _request_stream(config, rounds, 11):
+                proxy.handle_batch(batch)
+        loaded = config.n - config.c + config.d
+        assert len(spy.sizes) > rounds + 1, "load was not split"
+        assert max(spy.sizes) <= config.b
+        snap = handle.registry.snapshot()
+        calls = snap["counters"]["kernel.aead.encrypt_many.calls.total"]
+        items = snap["counters"]["kernel.aead.encrypt_many.items.total"]
+        assert calls == len(spy.sizes)
+        assert items == loaded + rounds * config.b
+        assert items <= config.b * calls
+        assert snap["histograms"][
+            "kernel.aead.encrypt_many.seconds"]["count"] == calls
 
     def test_storage_access_events_stream(self):
         from repro.storage.memory import InMemoryStore

@@ -153,7 +153,7 @@ def _derive_frames(count: int) -> list[bytes]:
 
 
 class TestShmTransport:
-    MATERIAL = (b"prf", b"pure", b"shm-transport-secret")
+    MATERIAL = (b"prf", b"shm-transport-secret")
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
@@ -161,7 +161,7 @@ class TestShmTransport:
 
     def test_shm_matches_pipe_and_inline(self):
         frames = _derive_frames(100)
-        oracle = Prf(self.MATERIAL[2])
+        oracle = Prf(self.MATERIAL[1])
         expected = [
             oracle.derive_bytes(frame).hex()[:32].encode("ascii")
             for frame in frames
